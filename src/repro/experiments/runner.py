@@ -403,8 +403,10 @@ def _cache_load(
     logged and *never* served; the caller falls back to re-execution, and
     the re-put heals a corrupt object in place.
     """
-    name = record_ref_name(task[0], task[1], digest) if digest else None
-    artifact, status = load_ref_artifact(store, name, digest) if name else (None, "miss")
+    if not digest:
+        return None, "miss"
+    name = record_ref_name(task[0], task[1], digest)
+    artifact, status, _digest = load_ref_artifact(store, name, digest)
     if artifact is None:
         return None, status
     try:

@@ -6,7 +6,8 @@ artifact, and the ref's ``meta.source_digest`` records which source tree
 produced it.  Loading applies one shared discipline:
 
 * ``hit`` -- the ref exists, is keyed on the current source digest, and
-  its artifact reads back clean with the expected kind;
+  its artifact reads back clean (its bytes hash to its address) with the
+  expected kind;
 * ``miss`` -- no ref, or the referenced object is gone;
 * ``stale`` -- the ref is keyed on another source digest (any source
   change invalidates the whole cache);
@@ -24,7 +25,7 @@ import logging
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.store import RunArtifact, RunStore, StoreError
+from repro.store import RunArtifact, RunStore, StoreError, StoreMissingError
 
 log = logging.getLogger(__name__)
 
@@ -36,44 +37,47 @@ def load_ref_artifact(
     name: str,
     source_digest: Optional[str],
     kind: Optional[str] = None,
-) -> Tuple[Optional[RunArtifact], str]:
+) -> Tuple[Optional[RunArtifact], str, Optional[str]]:
     """Resolve cache ref ``name`` to its artifact, or say why not.
 
-    Returns ``(artifact, "hit")`` on success and ``(None, status)``
-    otherwise, with ``status`` one of ``miss`` / ``stale`` / ``corrupt``
-    (see module docstring).  ``kind``, when given, must match the
-    artifact's kind -- a mismatch is treated as corrupt (the ref points
-    at something this cache never wrote).
+    Returns ``(artifact, "hit", digest)`` on success, where ``digest`` is
+    the artifact's content address (its bytes were just verified against
+    it), and ``(None, status, None)`` otherwise, with ``status`` one of
+    ``miss`` / ``stale`` / ``corrupt`` (see module docstring).  ``kind``,
+    when given, must match the artifact's kind -- a mismatch is treated
+    as corrupt (the ref points at something this cache never wrote).
     """
     if source_digest is None:
-        return None, "miss"
+        return None, "miss", None
     try:
         entry = store.get_ref(name)
     except StoreError as exc:
         log.warning("corrupt cache ref %s (%s); re-executing", name, exc)
-        return None, "corrupt"
+        return None, "corrupt", None
     if entry is None:
-        return None, "miss"
-    if entry.get("meta", {}).get("source_digest") != source_digest:
+        return None, "miss", None
+    meta = entry.get("meta", {})
+    if meta.get("source_digest") != source_digest:
         log.warning(
             "stale cache ref %s (stored digest %r != %r); re-executing",
-            name, entry.get("meta", {}).get("source_digest"), source_digest,
+            name, meta.get("source_digest"), source_digest,
         )
-        return None, "stale"
-    if not store.has(entry["digest"]):
-        return None, "miss"
+        return None, "stale", None
+    digest = entry["digest"]
     try:
-        artifact = store.get(entry["digest"])
+        artifact = store.get(digest)
+    except StoreMissingError:
+        return None, "miss", None
     except StoreError as exc:
         log.warning("corrupt cache entry %s (%s); re-executing", name, exc)
-        return None, "corrupt"
+        return None, "corrupt", None
     if kind is not None and artifact.kind != kind:
         log.warning(
             "cache ref %s points at a %r artifact (want %r); re-executing",
             name, artifact.kind, kind,
         )
-        return None, "corrupt"
-    return artifact, "hit"
+        return None, "corrupt", None
+    return artifact, "hit", digest
 
 
 def store_ref_artifact(

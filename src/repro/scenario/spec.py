@@ -58,6 +58,12 @@ class ScenarioError(ValueError):
     """A scenario spec is invalid or cannot be deserialized."""
 
 
+def _field_dict(spec) -> Dict[str, Any]:
+    """Fields of a flat spec dataclass (scalar values only) as a dict:
+    :func:`dataclasses.asdict` without its recursive deep copy."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+
+
 def _check_fields(cls, payload: Mapping[str, Any], where: str) -> None:
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - known)
@@ -98,7 +104,7 @@ class StorageSpec:
             raise ScenarioError(f"replicas must be 1 or 2, got {self.replicas}")
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = _field_dict(self)
         # Serialized form (and thus every digest/cache key) of an
         # unreplicated spec predates the replicas field: omit the default.
         if self.replicas == 1:
@@ -162,7 +168,7 @@ class StackSpec:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = _field_dict(self)
         # Omit resilience/engine fields still at their defaults so earlier
         # scenario digests (and the caches keyed on them) are unchanged.
         for name in ("rpc_timeout", "rpc_retries",
@@ -233,6 +239,12 @@ class ScenarioSpec:
     a ready :class:`~repro.simulate.execsim.ExperimentHarness`;
     :func:`repro.scenario.build.run_scenario` additionally runs the
     declared workloads and collects their results.
+
+    :meth:`canonical_json` and :meth:`digest` are computed once per
+    instance and memoized, which is sound because the spec is frozen.
+    The one mutable part is each ``WorkloadSpec.params`` dict: it must
+    never be mutated after construction (derive a new spec with
+    :meth:`replace` instead), or the memoized identity goes stale.
     """
 
     name: str
@@ -294,7 +306,7 @@ class ScenarioSpec:
             "name": self.name,
             "seed": self.seed,
             "concurrent": self.concurrent,
-            "platform": dataclasses.asdict(self.platform),
+            "platform": _field_dict(self.platform),
             "storage": self.storage.to_dict(),
             "stack": self.stack.to_dict(),
             "workloads": [w.to_dict() for w in self.workloads],
@@ -354,13 +366,23 @@ class ScenarioSpec:
         return cls.from_dict(payload)
 
     def canonical_json(self) -> str:
-        """Minimal, key-sorted JSON -- the cache/digest identity."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """Minimal, key-sorted JSON -- the cache/digest identity (memoized)."""
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = json.dumps(self.to_dict(), sort_keys=True,
+                              separators=(",", ":"))
+            object.__setattr__(self, "_canonical_json", text)
+        return text
 
     def digest(self) -> str:
-        """SHA-256 of the canonical serialization."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical serialization (memoized)."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(
+                self.canonical_json().encode("utf-8")
+            ).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def describe(self) -> str:
         p = self.platform

@@ -307,7 +307,7 @@ def _cache_load(
     heals corrupt objects) -- the shared
     :func:`repro.jobs.load_ref_artifact` discipline.
     """
-    artifact, _status = load_ref_artifact(
+    artifact, _status, _digest = load_ref_artifact(
         store,
         point_ref_name(scenario_digest, source_digest),
         source_digest,

@@ -116,7 +116,7 @@ class Job:
     __slots__ = (
         "job_id", "tenant", "kind", "submitted", "finished",
         "computations", "warm", "coalesced", "done_event", "_pending",
-        "_abandoned", "run_id", "idempotency_key", "journaled",
+        "_abandoned", "run_id", "idempotency_key", "journaled", "landed",
     )
 
     def __init__(
@@ -144,6 +144,9 @@ class Job:
         self.journaled = False
         #: Run-document id landed in the store (fresh-compute jobs only).
         self.run_id: Optional[str] = None
+        #: True once the service has finished this job's bookkeeping
+        #: (counters, run document); it runs exactly once per job.
+        self.landed = False
         self.done_event = asyncio.Event()
         #: Ids of computations this job cancelled out of (see abandon()).
         self._abandoned: set = set()

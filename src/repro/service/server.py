@@ -92,6 +92,10 @@ DISCOVERY_SCHEMA = "repro.service.discovery/1"
 #: ledger's ``stats`` block stay cumulative beyond this window).
 LEDGER_MAX_JOBS = 500
 
+#: Distinct ``(preset, seed)`` pairs whose validated spec a service keeps
+#: (``RunService._preset_spec``, a fixed-size LRU).
+PRESET_MEMO_SIZE = 256
+
 #: Maximum protocol line length (sweep submissions carry full specs).
 _STREAM_LIMIT = 16 * 1024 * 1024
 
@@ -104,6 +108,14 @@ def _run_computation_task(scenario_json: str):
     at identical content addresses.
     """
     return _execute_point_timed(scenario_json)
+
+
+def _load_preset(name: str, seed: Optional[int]) -> ScenarioSpec:
+    """Preset ``name`` at ``seed`` (``None``: its own), validated."""
+    spec = get_scenario(name)
+    if seed is not None:
+        spec = spec.with_seed(seed)
+    return spec.validate()
 
 
 def _chaos_exit() -> None:  # pragma: no cover - dies by design
@@ -199,7 +211,11 @@ class RunService:
         #: digest -> live (non-terminal) computation, for coalescing.
         self._inflight: Dict[str, Computation] = {}
         self._jobs: Dict[str, Job] = {}
-        self._finished_jobs: set = set()
+        #: (preset, seed) -> validated spec; one shared instance per
+        #: repeated pair, so its memoized digest and JSON are reused.
+        self._preset_spec = functools.lru_cache(maxsize=PRESET_MEMO_SIZE)(
+            _load_preset
+        )
         self._job_ids = itertools.count(1)
         self._outstanding: Dict[str, int] = {}
         #: idempotency key -> job id, restored from the journal on boot.
@@ -551,9 +567,9 @@ class RunService:
 
         Idempotent per job: a job that waited on the same computation
         through several slots is notified once per slot."""
-        if job.job_id in self._finished_jobs:
+        if job.landed:
             return
-        self._finished_jobs.add(job.job_id)
+        job.landed = True
         state = job.state
         if state in ("done", "failed", "cancelled"):
             self.stats[state] += 1
@@ -589,22 +605,26 @@ class RunService:
     ) -> Tuple[str, List[Tuple[str, ScenarioSpec]]]:
         """Turn a submit request into named, validated scenario specs."""
         scenario = req.get("scenario")
+        seed = req.get("seed")
+        if seed is not None:
+            seed = int(seed)
         if isinstance(scenario, str):
-            base = get_scenario(scenario)
+            base = self._preset_spec(scenario, seed)
         elif isinstance(scenario, dict):
             base = ScenarioSpec.from_dict(scenario)
+            if seed is not None:
+                base = base.with_seed(seed)
         else:
             raise ScenarioError(
                 "submit needs 'scenario': a preset name or a spec object"
             )
-        seed = req.get("seed")
-        if seed is not None:
-            base = base.with_seed(int(seed))
         grid = req.get("grid") or {}
         if grid:
             points = expand_grid(base, grid)
             return "sweep", [(p.name, p.scenario) for p in points]
-        return "scenario", [(base.name, base.validate())]
+        if isinstance(scenario, dict):
+            base.validate()  # presets come out of the memo validated
+        return "scenario", [(base.name, base)]
 
     def _admit(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """Admission control + per-digest resolution; returns the response
@@ -732,15 +752,13 @@ class RunService:
 
     def _warm_lookup(self, digest: str) -> Optional[str]:
         """Store lookup for one scenario digest -> its artifact digest."""
-        artifact, _status = load_ref_artifact(
+        _artifact, _status, artifact_digest = load_ref_artifact(
             self.store,
             point_ref_name(digest, self._source_digest),
             self._source_digest,
             kind="sweep_point",
         )
-        if artifact is None:
-            return None
-        return artifact.digest()
+        return artifact_digest
 
     # -- journal (durability + crash recovery) -------------------------------
 
@@ -1180,8 +1198,11 @@ class RunService:
         }
 
     def _write_ledger(self, finished: bool = False) -> None:
-        recent = list(self._jobs.values())[-LEDGER_MAX_JOBS:]
-        self._ledger.items = {j.job_id: j.summary() for j in recent}
+        # Walk back from the newest job: O(LEDGER_MAX_JOBS), not O(jobs).
+        recent = list(itertools.islice(
+            reversed(self._jobs.values()), LEDGER_MAX_JOBS
+        ))
+        self._ledger.items = {j.job_id: j.summary() for j in reversed(recent)}
         self._ledger.write(finished=finished)
         self._ledger_dirty = False
 

@@ -38,6 +38,7 @@ from repro.store.store import (
     RunStore,
     StoreError,
     StoreIntegrityError,
+    StoreMissingError,
     payload_diff,
 )
 from repro.store.migrate import migrate_results
@@ -57,6 +58,7 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreError",
     "StoreIntegrityError",
+    "StoreMissingError",
     "migrate_results",
     "payload_diff",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import logging
+import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -57,6 +58,10 @@ class StoreError(Exception):
     """Lookup/format failure: unknown token, bad ref, malformed document."""
 
 
+class StoreMissingError(StoreError):
+    """The requested object is not in the store."""
+
+
 class StoreIntegrityError(StoreError):
     """An object's bytes do not hash back to its digest (corrupt/truncated)."""
 
@@ -70,6 +75,10 @@ class RunStore:
 
     def __init__(self, root: PathLike = DEFAULT_STORE_DIR):
         self.root = Path(root)
+        # String prefixes for the read hot path (get/get_ref), which
+        # opens files without building a Path object per call.
+        self._objects_prefix = os.path.join(str(self.root), "objects", "")
+        self._refs_prefix = os.path.join(str(self.root), "refs", "")
 
     # -- paths ---------------------------------------------------------------
 
@@ -121,11 +130,14 @@ class RunStore:
 
     def get(self, digest: str) -> RunArtifact:
         """Load an artifact, verifying its bytes hash back to ``digest``."""
-        path = self.object_path(digest)
+        path = f"{self._objects_prefix}{digest[:2]}/{digest}.json"
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            raise StoreError(f"no object {digest} in {self.root}") from None
+            raise StoreMissingError(
+                f"no object {digest} in {self.root}"
+            ) from None
         if sha256_hex(data) != digest:
             raise StoreIntegrityError(
                 f"object {digest[:16]} is corrupt: bytes do not hash back "
@@ -187,9 +199,9 @@ class RunStore:
         Raises :class:`StoreError` when the ref file exists but is
         unreadable -- callers distinguish *miss* from *corrupt*.
         """
-        path = self.ref_path(name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(f"{self._refs_prefix}{name}.json", "r",
+                      encoding="utf-8") as fh:
                 entry = json.load(fh)
         except FileNotFoundError:
             return None

@@ -23,9 +23,11 @@ def _put(store, name, source_digest=SRC, kind="sweep_point"):
 def test_round_trip_is_a_hit(tmp_path):
     store = _store(tmp_path)
     artifact, digest = _put(store, "sweep/abc")
-    loaded, status = load_ref_artifact(store, "sweep/abc", SRC, kind="sweep_point")
+    loaded, status, loaded_digest = load_ref_artifact(
+        store, "sweep/abc", SRC, kind="sweep_point"
+    )
     assert status == "hit"
-    assert loaded.digest() == digest
+    assert loaded_digest == loaded.digest() == digest
     assert loaded.payload == {"duration": 1.5}
 
 
@@ -38,29 +40,27 @@ def test_store_ref_artifact_stamps_created_meta(tmp_path):
 
 
 def test_missing_ref_is_a_miss(tmp_path):
-    assert load_ref_artifact(_store(tmp_path), "sweep/nope", SRC) == (None, "miss")
+    assert load_ref_artifact(_store(tmp_path), "sweep/nope", SRC) == (None, "miss", None)
 
 
 def test_none_source_digest_is_a_miss(tmp_path):
     store = _store(tmp_path)
     _put(store, "sweep/abc")
-    assert load_ref_artifact(store, "sweep/abc", None) == (None, "miss")
+    assert load_ref_artifact(store, "sweep/abc", None) == (None, "miss", None)
 
 
 def test_other_source_digest_is_stale(tmp_path):
     store = _store(tmp_path)
     _put(store, "sweep/abc", source_digest="0" * 64)
-    artifact, status = load_ref_artifact(store, "sweep/abc", SRC)
-    assert (artifact, status) == (None, "stale")
+    assert load_ref_artifact(store, "sweep/abc", SRC) == (None, "stale", None)
 
 
 def test_wrong_kind_is_corrupt(tmp_path):
     store = _store(tmp_path)
     _put(store, "sweep/abc", kind="trace")
-    artifact, status = load_ref_artifact(
+    assert load_ref_artifact(
         store, "sweep/abc", SRC, kind="sweep_point"
-    )
-    assert (artifact, status) == (None, "corrupt")
+    ) == (None, "corrupt", None)
 
 
 def test_corrupt_object_is_never_served_and_reput_heals(tmp_path):
@@ -71,13 +71,12 @@ def test_corrupt_object_is_never_served_and_reput_heals(tmp_path):
     doc["payload"]["duration"] = 99.0  # bytes no longer hash to the address
     path.write_text(json.dumps(doc))
 
-    loaded, status = load_ref_artifact(store, "sweep/abc", SRC)
-    assert (loaded, status) == (None, "corrupt")
+    assert load_ref_artifact(store, "sweep/abc", SRC) == (None, "corrupt", None)
 
     # Re-putting the recomputed artifact heals the object in place.
     store_ref_artifact(store, "sweep/abc", artifact, meta={"source_digest": SRC})
-    loaded, status = load_ref_artifact(store, "sweep/abc", SRC)
-    assert status == "hit"
+    loaded, status, loaded_digest = load_ref_artifact(store, "sweep/abc", SRC)
+    assert status == "hit" and loaded_digest == digest
     assert loaded.payload["duration"] == 1.5
     assert store.verify() == []
 
@@ -86,4 +85,4 @@ def test_deleted_object_is_a_miss(tmp_path):
     store = _store(tmp_path)
     _, digest = _put(store, "sweep/abc")
     store.object_path(digest).unlink()
-    assert load_ref_artifact(store, "sweep/abc", SRC) == (None, "miss")
+    assert load_ref_artifact(store, "sweep/abc", SRC) == (None, "miss", None)

@@ -170,6 +170,107 @@ def test_sweep_submission_expands_the_grid(tmp_path, monkeypatch):
     asyncio.run(main())
 
 
+# -- warm-path integrity -------------------------------------------------------
+
+def test_corrupt_warm_object_is_recomputed_and_healed(tmp_path, monkeypatch):
+    """The warm path still verifies the object bytes it serves."""
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            first = await client.submit("tiny", tenant="a", seed=3)
+            artifact = first["tasks"][0]["artifact"]
+            warm = await client.submit("tiny", tenant="a", seed=3)
+            assert warm["tasks"][0]["cached"] is True
+
+            path = service.store.object_path(artifact)
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+
+            again = await client.submit("tiny", tenant="a", seed=3)
+            task = again["tasks"][0]
+            assert again["state"] == "done" and task["cached"] is False
+            assert task["artifact"] == artifact
+            assert service.stats["computed"] == 2
+            # The re-put healed the object in place.
+            assert service.store.verify() == []
+            healed = await client.submit("tiny", tenant="a", seed=3)
+            assert healed["tasks"][0]["cached"] is True
+
+    asyncio.run(main())
+
+
+def test_stale_ref_is_never_served(tmp_path, monkeypatch):
+    """A ref keyed on another source tree is recomputed, not served."""
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            first = await client.submit("tiny", tenant="a", seed=4)
+            task = first["tasks"][0]
+            ref_name = point_ref_name(task["digest"], SRC)
+            entry = service.store.get_ref(ref_name)
+            service.store.set_ref(
+                ref_name, entry["digest"],
+                meta={**entry["meta"], "source_digest": "0" * 64},
+            )
+
+            again = await client.submit("tiny", tenant="a", seed=4)
+            assert again["state"] == "done"
+            assert again["tasks"][0]["cached"] is False
+            assert again["warm"] == 0
+            assert service.stats["computed"] == 2
+            # The recomputation re-keyed the ref on the current source.
+            entry = service.store.get_ref(ref_name)
+            assert entry["meta"]["source_digest"] == SRC
+
+    asyncio.run(main())
+
+
+# -- per-job bookkeeping ------------------------------------------------------
+
+def test_job_waiting_through_several_slots_lands_one_run_document(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            # Duplicate grid values: three slots on one computation.
+            doc = await client.submit(
+                "tiny", tenant="a", grid={"n_oss": [2, 2, 2]}
+            )
+            assert doc["ok"] and doc["state"] == "done"
+            assert doc["total"] == 3 and doc["coalesced"] == 2
+            assert service.stats["computed"] == 1
+            assert service.stats["done"] == 1
+            assert service._jobs[doc["job_id"]].landed is True
+            runs = service.store.runs()
+            assert len(runs) == 1 and runs[0]["kind"] == "service"
+
+    asyncio.run(main())
+
+
+def test_ledger_keeps_the_newest_jobs_in_submission_order(tmp_path):
+    service = RunService(ServiceConfig(
+        store_dir=tmp_path / "store", source_digest=SRC,
+    ))
+    spec = get_scenario("tiny")
+    store_ref_artifact(
+        service.store,
+        point_ref_name(spec.digest(), SRC),
+        RunArtifact.from_sweep_point({"duration": 1.0}),
+        meta={"source_digest": SRC},
+    )
+    n = server_mod.LEDGER_MAX_JOBS + 120
+    job_ids = [_admitted(service)["job"].job_id for _ in range(n)]
+    service._write_ledger()
+    doc = json.loads(service.ledger_path.read_text())
+    assert list(doc["jobs"]) == job_ids[-server_mod.LEDGER_MAX_JOBS:]
+    assert doc["stats"]["jobs_submitted"] == n
+
+
 # -- chaos: worker death ------------------------------------------------------
 
 def test_worker_kill_requeues_with_waiters_and_never_poisons_the_cache(
