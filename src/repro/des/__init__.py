@@ -14,11 +14,13 @@ workhorse for large-scale I/O evaluation when no testbed is available):
   model shared network links and storage devices with fair bandwidth
   allocation among concurrent transfers.
 * :mod:`repro.des.ross` -- a ROSS-style logical-process kernel (events are
-  dispatched to LP handlers) with both a sequential executor and a
-  conservative, YAWNS-style windowed parallel executor.  The CODES storage
-  simulation framework surveyed by the paper is built on ROSS; this module is
-  our equivalent substrate and is validated for determinism against the
-  sequential executor (ablation A1).
+  dispatched to LP handlers) with the sequential reference executor.  The
+  CODES storage simulation framework surveyed by the paper is built on ROSS;
+  this module is our equivalent substrate.
+* :mod:`repro.des.partition` -- the one conservative, YAWNS-style window
+  loop: the one-partition ``ConservativeExecutor`` and the partitioned
+  serial/thread/process backends, all validated for determinism against the
+  sequential executor (ablation A1 and the engine-equivalence tests).
 * :mod:`repro.des.rng` -- reproducible named random streams.
 
 All times are floats in seconds of virtual time.  Determinism: ties in the
@@ -43,7 +45,6 @@ from repro.des.resources import Container, PriorityResource, Resource, Store
 from repro.des.sharing import FairShareLink
 from repro.des.rng import RandomStreams
 from repro.des.ross import (
-    ConservativeExecutor,
     LogicalProcess,
     RossEvent,
     RossKernel,
@@ -51,6 +52,7 @@ from repro.des.ross import (
 )
 from repro.des.optimistic import OptimisticExecutor, OptimisticStats
 from repro.des.partition import (
+    ConservativeExecutor,
     PartitionPlan,
     PartitionStats,
     PartitionedExecutor,

@@ -1,15 +1,17 @@
-"""Topology-partitioned parallel execution of the ROSS-style LP kernel.
+"""One YAWNS conservative window loop over partitioned LPs.
 
-:class:`repro.des.ross.ConservativeExecutor` exposes YAWNS windows but
-still executes them on one core.  This module realizes the parallelism:
-the LP population is split into *partitions* (ideally along fabric
-islands -- racks / OSS groups -- so that most traffic stays inside a
-partition), every partition owns its LPs' event queues, and each
-conservative window is processed by all partitions concurrently.  Only
-cross-partition messages are synchronization traffic: they are gathered
-at the window barrier, sorted into their canonical content-based order
-(so thread/process completion order cannot leak into results) and routed
-to the destination partition before the next LBTS reduction.
+The LP population of a :class:`~repro.des.ross.RossKernel` is split into
+*partitions* (ideally along fabric islands -- racks / OSS groups -- so that
+most traffic stays inside a partition); every partition owns its LPs'
+event queues, and each conservative window is processed by all partitions.
+:meth:`PartitionedExecutor._drive` is the one window loop: it reduces the
+per-partition minima to the LBTS, cuts off at ``until``, rejects degenerate
+windows, records the window's stats, and routes the cross-partition
+messages -- gathered at the window barrier and sorted into their canonical
+content-based order, so thread/process completion order cannot leak into
+results -- to their destination partitions before the next reduction.
+:class:`ConservativeExecutor` is that loop over a one-partition serial
+plan.
 
 Determinism: an LP processes exactly the same events in exactly the same
 local order as under the sequential executor -- the partition an LP lives
@@ -19,6 +21,10 @@ and per-LP traces are bit-identical across all executors and backends
 
 Backends
 --------
+Each backend supplies only the two steps of a window: run it on every
+partition, and deliver the routed events (reporting each partition's next
+pending timestamp).
+
 ``serial``
     One partition at a time, in index order.  The reference
     implementation; also the cheapest when windows are narrow.
@@ -40,6 +46,7 @@ import logging
 import multiprocessing
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +57,7 @@ from repro.des.ross import (
     LogicalProcess,
     RossEvent,
     RossKernel,
-    _degenerate_window_error,
+    _Mediator,
 )
 from repro.telemetry import TELEMETRY
 from repro.telemetry.collect import (
@@ -63,6 +70,26 @@ from repro.telemetry.collect import (
 _INF = float("inf")
 
 BACKENDS = ("serial", "thread", "process")
+
+#: One partition's per-window result: ``(cross_partition_events,
+#: events_processed, max_events_one_lp)``.
+WindowResult = Tuple[List[RossEvent], int, int]
+
+
+def _degenerate_window_error(lbts: float, lookahead: float) -> SimulationError:
+    """A window that admits no events would loop forever; fail loudly.
+
+    This happens when the lookahead vanishes against the magnitude of the
+    clock (``lbts + lookahead == lbts`` in float64) -- an effectively
+    zero-lookahead configuration.  Raising is the difference between a
+    clear diagnostic and a silent spin.
+    """
+    return SimulationError(
+        f"degenerate conservative window at t={lbts!r}: lookahead "
+        f"{lookahead!r} vanishes against the clock (lbts + lookahead == "
+        f"lbts in float64), so the window can never admit an event. "
+        f"Increase the lookahead or rescale the model's time units."
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,66 +198,31 @@ def fabric_islands(spec) -> List[Dict[str, Any]]:
 # Per-partition runtime
 # ---------------------------------------------------------------------------
 
-class _Shard:
+class _Shard(_Mediator):
     """One partition's private runtime: LPs, queues, clock and outbox.
 
-    Mirrors the mediation :class:`~repro.des.ross.RossKernel` performs for
-    the whole LP population, but over a disjoint subset, so partitions can
-    execute a window concurrently without sharing any mutable state.  LP
-    handlers receive the shard as their ``kernel`` argument; the send
-    contract (per-source sequence numbers, lookahead enforcement, known
-    destinations) is identical.
+    LP handlers receive the shard as their ``kernel`` argument and send
+    through the same contract as :class:`~repro.des.ross.RossKernel`.  A
+    shard owns its LPs' queues and send counters, so partitions execute a
+    window concurrently without sharing any mutable state.
     """
 
     __slots__ = (
-        "partition", "lookahead", "known", "lps", "queues",
+        "lookahead", "_known", "lps", "queues",
         "_now", "_current_lp", "_outbox", "_send_counters", "events_handled",
     )
 
-    def __init__(
-        self,
-        partition: int,
-        lookahead: float,
-        known: frozenset,
-        lps: Dict[int, LogicalProcess],
-        send_counters: Optional[Dict[int, int]] = None,
-    ):
-        self.partition = partition
-        self.lookahead = lookahead
-        self.known = known
+    def __init__(self, kernel: RossKernel, lps: Dict[int, LogicalProcess]):
+        self.lookahead = kernel.lookahead
+        self._known = kernel.lps
         self.lps = lps
         self.queues: Dict[int, List[RossEvent]] = {lp_id: [] for lp_id in lps}
         self._now = 0.0
         self._current_lp: Optional[int] = None
         self._outbox: List[RossEvent] = []
-        self._send_counters = {
-            lp_id: (send_counters or {}).get(lp_id, 0) for lp_id in lps
-        }
+        self._send_counters = {lp_id: kernel._send_counters[lp_id] for lp_id in lps}
         self.events_handled = 0
 
-    # -- the kernel interface LP handlers see -------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def send(self, dest: int, delay: float, kind: str, payload: Any = None) -> RossEvent:
-        if self._current_lp is None:
-            raise RuntimeError("send() may only be called from inside handle()")
-        if dest not in self.known:
-            raise KeyError(f"unknown destination LP {dest}")
-        if delay < self.lookahead:
-            raise ValueError(
-                f"message delay {delay} violates lookahead {self.lookahead}"
-            )
-        src = self._current_lp
-        seq = self._send_counters[src]
-        self._send_counters[src] = seq + 1
-        ev = RossEvent(self._now + delay, dest, kind, payload,
-                       source=src, source_seq=seq)
-        self._outbox.append(ev)
-        return ev
-
-    # -- executor side -------------------------------------------------------
     def enqueue(self, ev: RossEvent) -> None:
         heapq.heappush(self.queues[ev.dest], ev)
 
@@ -238,16 +230,19 @@ class _Shard:
         heads = [q[0].time for q in self.queues.values() if q]
         return min(heads) if heads else _INF
 
-    def run_window(
-        self, horizon: float, until: float
-    ) -> Tuple[List[RossEvent], int, int]:
+    def route(self, events: List[RossEvent]) -> float:
+        """Deliver routed events; return the next pending timestamp."""
+        for ev in events:
+            self.enqueue(ev)
+        return self.min_pending()
+
+    def run_window(self, horizon: float, until: float) -> WindowResult:
         """Process every pending event below ``horizon`` (and ``until``).
 
-        Returns ``(cross_partition_events, events_processed,
-        max_events_one_lp)``.  Intra-partition messages are enqueued
-        locally (their timestamps are beyond the horizon, so they cannot
-        join the current window); everything else is handed back for the
-        coordinator to route after the barrier.
+        Intra-partition messages are enqueued locally (their timestamps
+        are beyond the horizon, so they cannot join the current window);
+        everything else is handed back for the executor to route after the
+        barrier.
         """
         remote: List[RossEvent] = []
         window_events = 0
@@ -259,15 +254,8 @@ class _Shard:
             lp = self.lps[lp_id]
             handled_here = 0
             while q and q[0].time < horizon and q[0].time <= until:
-                ev = heapq.heappop(q)
-                self._now = ev.time
-                self._current_lp = lp_id
-                try:
-                    lp._dispatch(self, ev)
-                finally:
-                    self._current_lp = None
                 handled_here += 1
-                for new in self._drain_outbox():
+                for new in self._execute(lp, heapq.heappop(q)):
                     if new.time < horizon:
                         raise RuntimeError(
                             "causality violation: generated event inside "
@@ -283,24 +271,21 @@ class _Shard:
         self.events_handled += window_events
         return remote, window_events, max_per_lp
 
-    def _drain_outbox(self) -> List[RossEvent]:
-        out, self._outbox = self._outbox, []
-        return out
-
-    def state_digests(self) -> Dict[int, Any]:
-        return {lp_id: lp.state_digest() for lp_id, lp in self.lps.items()}
-
-    def collect(self, method: str) -> Dict[int, Any]:
+    def result(self) -> Dict[str, Any]:
+        """The end-of-run payload every backend returns to the executor."""
         return {
-            lp_id: getattr(lp, method)()
-            for lp_id, lp in self.lps.items()
-            if hasattr(lp, method)
+            "events": self.events_handled,
+            "digests": {lp_id: lp.state_digest() for lp_id, lp in self.lps.items()},
+            "traces": {lp_id: lp.trace for lp_id, lp in self.lps.items()},
+            "collected": {
+                lp_id: lp.collect_result()
+                for lp_id, lp in self.lps.items()
+                if hasattr(lp, "collect_result")
+            },
         }
 
 
-def _build_shards(
-    kernel: RossKernel, plan: PartitionPlan
-) -> List[_Shard]:
+def _build_shards(kernel: RossKernel, plan: PartitionPlan) -> List[_Shard]:
     """Split a populated kernel into per-partition shards.
 
     The kernel's injected initial events (its outbox) are routed into the
@@ -310,20 +295,14 @@ def _build_shards(
     missing = sorted(set(kernel.lps) - set(plan.assignment))
     if missing:
         raise ValueError(f"partition plan does not cover LP(s): {missing}")
-    known = frozenset(kernel.lps)
-    shards = [
-        _Shard(
-            p,
-            kernel.lookahead,
-            known,
-            {lp_id: kernel.lps[lp_id] for lp_id in plan.members(p)},
-            kernel._send_counters,
-        )
-        for p in range(plan.n_partitions)
+    members: List[Dict[int, LogicalProcess]] = [
+        {} for _ in range(plan.n_partitions)
     ]
-    by_partition = plan.assignment
+    for lp_id in sorted(kernel.lps):
+        members[plan.assignment[lp_id]][lp_id] = kernel.lps[lp_id]
+    shards = [_Shard(kernel, lps) for lps in members]
     for ev in kernel._drain_outbox():
-        shards[by_partition[ev.dest]].enqueue(ev)
+        shards[plan.assignment[ev.dest]].enqueue(ev)
     return shards
 
 
@@ -420,21 +399,53 @@ class PartitionedExecutor:
         self.kernel_factory = kernel_factory
         self.factory_args = factory_args
         self.stats = PartitionStats(backend=backend, partitions=plan.n_partitions)
-        self._shards: Optional[List[_Shard]] = None
-        self._finalized: Dict[int, Any] = {}
-        self._collected: Dict[str, Dict[int, Any]] = {}
-        self._traces: Dict[int, list] = {}
+        #: Every partition's end-of-run payload (see :meth:`_Shard.result`).
+        self._results: List[Dict[str, Any]] = []
 
-    # -- shared window loop --------------------------------------------------
     def run(self, until: float = _INF) -> PartitionStats:
         if self.backend == "process":
-            return self._run_process(until)
-        return self._run_local(until)
+            self._results = self._run_process(until)
+        else:
+            self._results = self._run_local(until)
+        self.stats.partition_events = [r["events"] for r in self._results]
+        self._publish_telemetry()
+        return self.stats
+
+    # -- the window loop -----------------------------------------------------
+    def _drive(
+        self,
+        mins: List[float],
+        run_window: Callable[[float], List[WindowResult]],
+        route: Callable[[List[List[RossEvent]]], List[float]],
+        until: float,
+    ) -> None:
+        """The YAWNS window loop, shared by every backend.
+
+        ``mins`` holds each partition's next pending timestamp.  Each
+        round takes LBTS = ``min(mins)``, runs the window ``[LBTS, LBTS +
+        lookahead)`` on every partition (``run_window(horizon)``), and
+        hands each partition its share of the canonically sorted
+        cross-partition traffic (``route(groups)``, which returns the new
+        ``mins``).  Because every message carries at least ``lookahead``
+        of delay, no event generated inside a window can land in it.
+        """
+        assignment = self.plan.assignment
+        while True:
+            lbts = min(mins)
+            if lbts == _INF or lbts > until:
+                return
+            horizon = lbts + self.lookahead
+            if not horizon > lbts:
+                raise _degenerate_window_error(lbts, self.lookahead)
+            groups: List[List[RossEvent]] = [
+                [] for _ in range(self.plan.n_partitions)
+            ]
+            for ev in self._record_window(run_window(horizon), lbts):
+                groups[assignment[ev.dest]].append(ev)
+            mins = route(groups)
 
     def _record_window(
-        self,
-        per_partition: List[Tuple[List[RossEvent], int, int]],
-        now: Optional[float] = None,
+        self, per_partition: List[WindowResult], now: float
     ) -> List[RossEvent]:
         """Fold one window's per-partition results into the stats; return
         the canonically-sorted cross-partition traffic.
@@ -454,7 +465,7 @@ class PartitionedExecutor:
         for out, _, _ in per_partition:
             remote.extend(out)
         stats.exchanged += len(remote)
-        if TELEMETRY.active and now is not None:
+        if TELEMETRY.active:
             series = TELEMETRY.series
             series.record("des.partition.occupancy", now, occupied, "partitions")
             series.record("des.partition.window_events", now, window_events, "events")
@@ -475,9 +486,9 @@ class PartitionedExecutor:
             m.counter(f"des.partition.p{p}.events").inc(n)
 
     # -- serial / thread -----------------------------------------------------
-    def _run_local(self, until: float) -> PartitionStats:
+    def _run_local(self, until: float) -> List[Dict[str, Any]]:
         shards = _build_shards(self.kernel, self.plan)
-        self._shards = shards
+        threaded = self.backend == "thread"
         pool = (
             ThreadPoolExecutor(
                 max_workers=min(
@@ -485,34 +496,23 @@ class PartitionedExecutor:
                     self.max_workers or multiprocessing.cpu_count(),
                 )
             )
-            if self.backend == "thread"
-            else None
+            if threaded
+            else nullcontext()
         )
-        try:
-            while True:
-                lbts = min(shard.min_pending() for shard in shards)
-                if lbts == _INF or lbts > until:
-                    break
-                horizon = lbts + self.lookahead
-                if not horizon > lbts:
-                    raise _degenerate_window_error(lbts, self.lookahead)
-                if pool is not None:
-                    results = list(
-                        pool.map(lambda s: s.run_window(horizon, until), shards)
-                    )
-                else:
-                    results = [s.run_window(horizon, until) for s in shards]
-                for ev in self._record_window(results, now=lbts):
-                    shards[self.plan.assignment[ev.dest]].enqueue(ev)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        self.stats.partition_events = [s.events_handled for s in shards]
-        self._publish_telemetry()
-        return self.stats
+        with pool:
+            mapper = pool.map if threaded else map
+            self._drive(
+                [s.min_pending() for s in shards],
+                lambda horizon: list(
+                    mapper(lambda s: s.run_window(horizon, until), shards)
+                ),
+                lambda groups: [s.route(g) for s, g in zip(shards, groups)],
+                until,
+            )
+        return [s.result() for s in shards]
 
     # -- process backend -----------------------------------------------------
-    def _run_process(self, until: float) -> PartitionStats:
+    def _run_process(self, until: float) -> List[Dict[str, Any]]:
         ctx = _mp_context()
         conns = []
         procs = []
@@ -523,8 +523,7 @@ class PartitionedExecutor:
                 proc = ctx.Process(
                     target=_partition_worker,
                     args=(child, self.kernel_factory, self.factory_args,
-                          self.plan.n_partitions, self.plan.assignment, p,
-                          telemetry_active, log_level),
+                          self.plan, p, telemetry_active, log_level),
                     daemon=False,
                 )
                 proc.start()
@@ -532,37 +531,18 @@ class PartitionedExecutor:
                 conns.append(parent)
                 procs.append(proc)
 
-            mins = [self._recv(conn) for conn in conns]
-            while True:
-                lbts = min(mins)
-                if lbts == _INF or lbts > until:
-                    break
-                horizon = lbts + self.lookahead
-                if not horizon > lbts:
-                    raise _degenerate_window_error(lbts, self.lookahead)
-                for conn in conns:
-                    conn.send(("window", horizon, until))
-                results = [self._recv(conn) for conn in conns]
-                remote = self._record_window(results, now=lbts)
-                groups: List[List[RossEvent]] = [
-                    [] for _ in range(self.plan.n_partitions)
-                ]
-                for ev in remote:
-                    groups[self.plan.assignment[ev.dest]].append(ev)
-                for conn, group in zip(conns, groups):
-                    conn.send(("route", group))
-                mins = [self._recv(conn) for conn in conns]
+            def exchange(msgs):
+                for conn, msg in zip(conns, msgs):
+                    conn.send(msg)
+                return [self._recv(conn) for conn in conns]
 
-            for conn in conns:
-                conn.send(("finish",))
-            finals = [self._recv(conn) for conn in conns]
-            self.stats.partition_events = [f["events"] for f in finals]
-            for f in finals:
-                self._finalized.update(f["digests"])
-                self._traces.update(f["traces"])
-                for method, payload in f["collected"].items():
-                    self._collected.setdefault(method, {}).update(payload)
-                merge_snapshot(f.get("telemetry"))
+            self._drive(
+                [self._recv(conn) for conn in conns],
+                lambda horizon: exchange([("window", horizon, until)] * len(conns)),
+                lambda groups: exchange([("route", g) for g in groups]),
+                until,
+            )
+            finals = exchange([("finish",)] * len(conns))
         finally:
             for conn in conns:
                 conn.close()
@@ -571,8 +551,9 @@ class PartitionedExecutor:
                 if proc.is_alive():  # pragma: no cover - defensive
                     proc.terminate()
                     proc.join()
-        self._publish_telemetry()
-        return self.stats
+        for final in finals:
+            merge_snapshot(final.pop("telemetry"))
+        return finals
 
     @staticmethod
     def _recv(conn):
@@ -584,37 +565,46 @@ class PartitionedExecutor:
         return msg
 
     # -- result access -------------------------------------------------------
+    def _merged(self, key: str) -> Dict[int, Any]:
+        out: Dict[int, Any] = {}
+        for result in self._results:
+            out.update(result[key])
+        return out
+
     def state_digests(self) -> Dict[int, Any]:
         """Final ``state_digest()`` of every LP, merged across partitions."""
-        if self.backend == "process":
-            return dict(self._finalized)
-        out: Dict[int, Any] = {}
-        for shard in self._shards or []:
-            out.update(shard.state_digests())
-        return out
+        return self._merged("digests")
 
     def traces(self) -> Dict[int, list]:
         """Per-LP handled-event traces (determinism checks)."""
-        if self.backend == "process":
-            return dict(self._traces)
-        return {
-            lp_id: lp.trace
-            for shard in self._shards or []
-            for lp_id, lp in shard.lps.items()
-        }
+        return self._merged("traces")
 
-    def collect(self, method: str) -> Dict[int, Any]:
-        """Call ``method()`` on every LP that defines it; merge the results.
+    def collect(self) -> Dict[int, Any]:
+        """``collect_result()`` of every LP that defines it, merged across
+        partitions: how runs return model-level outcomes."""
+        return self._merged("collected")
 
-        How partitioned runs return model-level outcomes (the process
-        backend fetches them over IPC at shutdown).
-        """
-        if self.backend == "process":
-            return dict(self._collected.get(method, {}))
-        out: Dict[int, Any] = {}
-        for shard in self._shards or []:
-            out.update(shard.collect(method))
-        return out
+
+class ConservativeExecutor(PartitionedExecutor):
+    """YAWNS-style conservative windowed executor on one core.
+
+    The shared window loop over a one-partition serial plan.  Requires
+    ``kernel.lookahead > 0``.  Each round:
+
+    1. LBTS = min timestamp over all pending events (global reduction).
+    2. Window = ``[LBTS, LBTS + lookahead)``.
+    3. Every LP processes its pending events inside the window in local
+       key order.  Messages generated carry timestamps >= LBTS + lookahead,
+       i.e. beyond the window, so no causality violation is possible.
+    4. Barrier; repeat.
+
+    LPs run in place, so the kernel's LPs hold the final state afterwards.
+    """
+
+    def __init__(self, kernel: RossKernel):
+        if kernel.lookahead <= 0:
+            raise ValueError("conservative execution requires positive lookahead")
+        super().__init__(kernel, PartitionPlan(1, dict.fromkeys(kernel.lps, 0)))
 
 
 def _mp_context():
@@ -625,7 +615,7 @@ def _mp_context():
 
 
 def _partition_worker(
-    conn, factory, factory_args, n_partitions, assignment, partition,
+    conn, factory, factory_args, plan, partition,
     telemetry_active=False, log_level=logging.WARNING,
 ):
     """Worker entry point: build the model, keep one partition, serve windows.
@@ -636,56 +626,29 @@ def _partition_worker(
     """
     try:
         init_worker(telemetry_active, log_level)
-        kernel = factory(*factory_args)
-        known = frozenset(kernel.lps)
-        members = {lp_id for lp_id, p in assignment.items() if p == partition}
-        shard = _Shard(
-            partition,
-            kernel.lookahead,
-            known,
-            {lp_id: kernel.lps[lp_id] for lp_id in sorted(members)},
-            kernel._send_counters,
-        )
-        for ev in kernel._drain_outbox():
-            if ev.dest in members:
-                shard.enqueue(ev)
+        shard = _build_shards(factory(*factory_args), plan)[partition]
         conn.send(shard.min_pending())
         while True:
             msg = conn.recv()
             if msg[0] == "window":
-                _, horizon, until = msg
-                if TELEMETRY.active:
-                    with TELEMETRY.tracer.span(
+                span = (
+                    TELEMETRY.tracer.span(
                         "partition.window", cat="des.partition",
                         partition=partition,
-                    ):
-                        out, n_events, max_per_lp = shard.run_window(
-                            horizon, until
-                        )
-                else:
-                    out, n_events, max_per_lp = shard.run_window(horizon, until)
-                conn.send((out, n_events, max_per_lp))
+                    )
+                    if TELEMETRY.active
+                    else nullcontext()
+                )
+                with span:
+                    reply = shard.run_window(*msg[1:])
             elif msg[0] == "route":
-                for ev in msg[1]:
-                    shard.enqueue(ev)
-                conn.send(shard.min_pending())
+                reply = shard.route(msg[1])
             elif msg[0] == "finish":
-                collected = {}
-                for method in ("collect_result",):
-                    payload = shard.collect(method)
-                    if payload:
-                        collected[method] = payload
-                conn.send({
-                    "events": shard.events_handled,
-                    "digests": shard.state_digests(),
-                    "traces": {lp_id: lp.trace
-                               for lp_id, lp in shard.lps.items()},
-                    "collected": collected,
-                    "telemetry": telemetry_snapshot(),
-                })
+                conn.send(dict(shard.result(), telemetry=telemetry_snapshot()))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise RuntimeError(f"unknown message {msg[0]!r}")
+            conn.send(reply)
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -695,6 +658,7 @@ def _partition_worker(
 
 __all__ = [
     "BACKENDS",
+    "ConservativeExecutor",
     "PartitionPlan",
     "PartitionStats",
     "PartitionedExecutor",

@@ -1,25 +1,22 @@
-"""ROSS-style logical-process kernel with sequential and conservative executors.
+"""ROSS-style logical-process kernel and its sequential reference executor.
 
 The CODES storage-simulation framework surveyed by the paper (Snyder et al.
 [20], Liu et al. [59]) is built atop ROSS, a parallel discrete-event
 simulation (PDES) system in which the model is decomposed into *logical
 processes* (LPs) that interact exclusively by exchanging timestamped events.
 
-This module implements that programming model with two executors:
-
-* :class:`SequentialExecutor` -- a single global event queue, the reference
-  implementation.
-* :class:`ConservativeExecutor` -- a YAWNS-style conservative windowed
-  executor: in each round it computes the lower bound on timestamps (LBTS)
-  of all pending events and processes, per LP, every event with timestamp
-  below ``LBTS + lookahead``.  Because every message carries a minimum delay
-  of ``lookahead``, no event generated during a window can land inside it,
-  which guarantees causal correctness without rollback.
+This module implements that programming model: the LPs, the kernel that
+mediates their sends, and :class:`SequentialExecutor`, a single global event
+queue that is the reference every other executor must reproduce.  The
+conservative (YAWNS) executors live in :mod:`repro.des.partition`: one
+window loop runs every partitioned backend, and
+:class:`~repro.des.partition.ConservativeExecutor` is that loop over a
+one-partition serial plan.
 
 Determinism across executors: events are ordered by
 ``(time, source_lp, per-source sequence number)``.  Each LP numbers the
-messages it sends, and an LP's processing order is identical under both
-executors (proved inductively: each LP receives the same multiset of events
+messages it sends, and an LP's processing order is identical under every
+executor (proved inductively: each LP receives the same multiset of events
 and sorts them by the same content-based key), so simulations are
 bit-reproducible and executor-independent.  Ablation A1 validates this and
 reports the parallelism the conservative windows expose.
@@ -29,25 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
-from repro.des.engine import SimulationError
-
-
-def _degenerate_window_error(lbts: float, lookahead: float) -> SimulationError:
-    """A window that admits no events would loop forever; fail loudly.
-
-    This happens when the lookahead vanishes against the magnitude of the
-    clock (``lbts + lookahead == lbts`` in float64) -- an effectively
-    zero-lookahead configuration.  Raising is the difference between a
-    clear diagnostic and a silent spin.
-    """
-    return SimulationError(
-        f"degenerate conservative window at t={lbts!r}: lookahead "
-        f"{lookahead!r} vanishes against the clock (lbts + lookahead == "
-        f"lbts in float64), so the window can never admit an event. "
-        f"Increase the lookahead or rescale the model's time units."
-    )
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -120,7 +99,60 @@ class LogicalProcess:
         self.handle(kernel, event)
 
 
-class RossKernel:
+class _Mediator:
+    """The kernel interface LP handlers see: the clock and the send contract.
+
+    Shared by :class:`RossKernel` (the whole LP population) and the
+    per-partition shards of :mod:`repro.des.partition`, so every executor
+    enforces one contract: sends come from inside ``handle()``, go to a
+    known LP, arrive no sooner than ``lookahead``, and are numbered per
+    source.  Subclasses provide ``lookahead``, ``_known`` (the valid
+    destination ids), ``_now``, ``_current_lp``, ``_send_counters`` and
+    ``_outbox``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def now(self) -> float:
+        """Virtual time of the event currently being handled."""
+        return self._now
+
+    def send(self, dest: int, delay: float, kind: str, payload: Any = None) -> RossEvent:
+        """Send a message from the currently-executing LP.
+
+        ``delay`` must be at least ``lookahead`` (strictly positive if the
+        lookahead is zero would break windowing, so conservative runs require
+        lookahead > 0).
+        """
+        if self._current_lp is None:
+            raise RuntimeError("send() may only be called from inside handle()")
+        if dest not in self._known:
+            raise KeyError(f"unknown destination LP {dest}")
+        if delay < self.lookahead:
+            raise ValueError(
+                f"message delay {delay} violates lookahead {self.lookahead}"
+            )
+        src = self._current_lp
+        seq = self._send_counters[src]
+        self._send_counters[src] = seq + 1
+        ev = RossEvent(self._now + delay, dest, kind, payload, source=src, source_seq=seq)
+        self._outbox.append(ev)
+        return ev
+
+    def _execute(self, lp: LogicalProcess, event: RossEvent) -> List[RossEvent]:
+        """Run one event through ``lp``; return the messages it sent."""
+        self._now = event.time
+        self._current_lp = event.dest
+        try:
+            lp._dispatch(self, event)
+        finally:
+            self._current_lp = None
+        out, self._outbox = self._outbox, []
+        return out
+
+
+class RossKernel(_Mediator):
     """Holds the LP population and mediates message sends.
 
     Parameters
@@ -136,16 +168,13 @@ class RossKernel:
             raise ValueError("lookahead must be non-negative")
         self.lookahead = float(lookahead)
         self.lps: Dict[int, LogicalProcess] = {}
+        #: Valid send destinations: the LP table itself.
+        self._known = self.lps
         self._now = 0.0
         self._init_seq = 0
         self._send_counters: Dict[int, int] = {}
         self._outbox: List[RossEvent] = []
         self._current_lp: Optional[int] = None
-
-    @property
-    def now(self) -> float:
-        """Virtual time of the event currently being handled."""
-        return self._now
 
     def add_lp(self, lp: LogicalProcess) -> LogicalProcess:
         if lp.lp_id in self.lps:
@@ -161,28 +190,6 @@ class RossKernel:
         self._outbox.append(ev)
         return ev
 
-    def send(self, dest: int, delay: float, kind: str, payload: Any = None) -> RossEvent:
-        """Send a message from the currently-executing LP.
-
-        ``delay`` must be at least ``lookahead`` (strictly positive if the
-        lookahead is zero would break windowing, so conservative runs require
-        lookahead > 0).
-        """
-        if self._current_lp is None:
-            raise RuntimeError("send() may only be called from inside handle()")
-        if dest not in self.lps:
-            raise KeyError(f"unknown destination LP {dest}")
-        if delay < self.lookahead:
-            raise ValueError(
-                f"message delay {delay} violates lookahead {self.lookahead}"
-            )
-        src = self._current_lp
-        seq = self._send_counters[src]
-        self._send_counters[src] = seq + 1
-        ev = RossEvent(self._now + delay, dest, kind, payload, source=src, source_seq=seq)
-        self._outbox.append(ev)
-        return ev
-
     def _drain_outbox(self) -> List[RossEvent]:
         out, self._outbox = self._outbox, []
         return out
@@ -192,13 +199,7 @@ class RossKernel:
         lp = self.lps.get(event.dest)
         if lp is None:
             raise KeyError(f"event addressed to unknown LP {event.dest}")
-        self._now = event.time
-        self._current_lp = event.dest
-        try:
-            lp._dispatch(self, event)
-        finally:
-            self._current_lp = None
-        return self._drain_outbox()
+        return self._execute(lp, event)
 
     def state_digests(self) -> Dict[int, Any]:
         return {lp_id: lp.state_digest() for lp_id, lp in self.lps.items()}
@@ -210,7 +211,7 @@ class ExecutionStats:
 
     events: int = 0
     windows: int = 0
-    #: Events processed in each window (conservative executor only).
+    #: Events processed in each window (windowed executors only).
     window_sizes: List[int] = field(default_factory=list)
     #: Critical-path bound: sum over windows of the max events any single LP
     #: handled in that window.  total events / critical_path is the speedup
@@ -244,65 +245,3 @@ class SequentialExecutor:
         self.stats.critical_path = self.stats.events
         return self.stats
 
-
-class ConservativeExecutor:
-    """YAWNS-style conservative windowed executor.
-
-    Requires ``kernel.lookahead > 0``.  Each round:
-
-    1. LBTS = min timestamp over all pending events (global reduction).
-    2. Window = ``[LBTS, LBTS + lookahead)``.
-    3. Every LP processes its pending events inside the window in local
-       key order.  Messages generated carry timestamps >= LBTS + lookahead,
-       i.e. beyond the window, so no causality violation is possible.
-    4. Barrier; repeat.
-    """
-
-    def __init__(self, kernel: RossKernel):
-        if kernel.lookahead <= 0:
-            raise ValueError("conservative execution requires positive lookahead")
-        self.kernel = kernel
-        self.stats = ExecutionStats()
-
-    def run(self, until: float = float("inf")) -> ExecutionStats:
-        queues: Dict[int, List[RossEvent]] = {lp_id: [] for lp_id in self.kernel.lps}
-        for ev in self.kernel._drain_outbox():
-            heapq.heappush(queues[ev.dest], ev)
-
-        while True:
-            pending_heads = [q[0].time for q in queues.values() if q]
-            if not pending_heads:
-                break
-            lbts = min(pending_heads)
-            if lbts > until:
-                break
-            horizon = lbts + self.kernel.lookahead
-            if not horizon > lbts:
-                raise _degenerate_window_error(lbts, self.kernel.lookahead)
-            window_events = 0
-            window_max_per_lp = 0
-            generated: List[RossEvent] = []
-            # Deterministic LP visit order (the executor's order is
-            # irrelevant for correctness; fixed order aids reproducibility
-            # of stats).
-            for lp_id in sorted(queues):
-                q = queues[lp_id]
-                handled_here = 0
-                while q and q[0].time < horizon and q[0].time <= until:
-                    ev = heapq.heappop(q)
-                    generated.extend(self.kernel._execute_one(ev))
-                    handled_here += 1
-                window_events += handled_here
-                window_max_per_lp = max(window_max_per_lp, handled_here)
-            for ev in generated:
-                if ev.time < horizon:
-                    raise RuntimeError(
-                        "causality violation: generated event inside the "
-                        "current window (lookahead contract broken)"
-                    )
-                heapq.heappush(queues[ev.dest], ev)
-            self.stats.events += window_events
-            self.stats.windows += 1
-            self.stats.window_sizes.append(window_events)
-            self.stats.critical_path += window_max_per_lp
-        return self.stats

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.core.experiment import ExperimentRecord
+from repro.des.partition import ConservativeExecutor
 from repro.des.ross import (
-    ConservativeExecutor,
     LogicalProcess,
     RossKernel,
     SequentialExecutor,

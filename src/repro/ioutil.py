@@ -63,11 +63,6 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def canonical_digest(payload: Any) -> str:
-    """SHA-256 over the canonical JSON bytes of ``payload``."""
-    return sha256_hex(canonical_json_bytes(payload))
-
-
 def atomic_write_json(
     payload: Any,
     path: PathLike,

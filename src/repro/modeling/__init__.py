@@ -30,7 +30,7 @@ from repro.modeling.statistics import (
 from repro.modeling.regression import LinearModel, polynomial_features
 from repro.modeling.markov import MarkovChain
 from repro.modeling.hypothesis_testing import TestResult, ks_test, t_test
-from repro.modeling.features import profile_features, workload_features
+from repro.modeling.features import workload_features
 from repro.modeling.mlp import MLPRegressor
 from repro.modeling.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.modeling.predictor import ModelComparison, PerformancePredictor
@@ -73,7 +73,6 @@ __all__ = [
     "ks_test",
     "pearson_correlation",
     "polynomial_features",
-    "profile_features",
     "structure_signature",
     "t_test",
     "trace_distance",

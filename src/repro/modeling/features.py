@@ -3,8 +3,7 @@
 Sun et al. [57] predict execution and I/O time of MPI applications "with
 different inputs, at different scales, and without domain knowledge" --
 i.e. from configuration features alone.  :func:`workload_features` encodes
-an IOR-style configuration; :func:`profile_features` encodes an observed
-job profile (the post-hoc alternative when only monitoring data exists).
+an IOR-style configuration.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-
-from repro.monitoring.profiler import JobProfile
 
 #: Order of the configuration feature vector (documented for model users).
 WORKLOAD_FEATURE_NAMES: List[str] = [
@@ -54,40 +51,3 @@ def workload_features(
         ]
     )
 
-
-#: Order of the profile feature vector.
-PROFILE_FEATURE_NAMES: List[str] = [
-    "n_ranks",
-    "log_bytes_written",
-    "log_bytes_read",
-    "log_write_ops",
-    "log_read_ops",
-    "log_meta_ops",
-    "avg_write_size_log",
-    "avg_read_size_log",
-    "files_accessed",
-]
-
-
-def profile_features(profile: JobProfile) -> np.ndarray:
-    """Feature vector of one observed job profile."""
-    j = profile.job
-
-    def safe_log(v: float) -> float:
-        return float(np.log1p(max(0.0, v)))
-
-    avg_w = j.bytes_written / j.writes if j.writes else 0.0
-    avg_r = j.bytes_read / j.reads if j.reads else 0.0
-    return np.array(
-        [
-            float(profile.n_ranks),
-            safe_log(j.bytes_written),
-            safe_log(j.bytes_read),
-            safe_log(j.writes),
-            safe_log(j.reads),
-            safe_log(j.meta_ops),
-            safe_log(avg_w),
-            safe_log(avg_r),
-            float(j.files_accessed),
-        ]
-    )

@@ -49,9 +49,12 @@ from repro.des.cohort import (
 )
 from repro.des.engine import Environment
 from repro.des.events import Event
-from repro.des.partition import PartitionPlan, PartitionedExecutor
-from repro.des.ross import (
+from repro.des.partition import (
     ConservativeExecutor,
+    PartitionPlan,
+    PartitionedExecutor,
+)
+from repro.des.ross import (
     LogicalProcess,
     RossKernel,
     SequentialExecutor,
@@ -425,7 +428,7 @@ def run_cohort(
             build_kernel(config), plan, backend=backend, max_workers=workers
         )
     stats = ex.run()
-    results = ex.collect("collect_result")
+    results = ex.collect()
     collected = [results[k] for k in range(config.islands)]
     extra = {
         "windows": stats.windows,

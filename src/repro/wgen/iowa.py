@@ -22,7 +22,7 @@ The :class:`IOWA` registry names sources and consumers and runs any pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.platform import Platform
 from repro.monitoring.profiler import JobProfile
@@ -85,17 +85,6 @@ class SyntheticSource(WorkloadSource):
 
     def produce(self) -> Workload:
         return parse_workload(self.text)
-
-
-@dataclass
-class CallableSource(WorkloadSource):
-    """Escape hatch: any zero-argument factory of a Workload."""
-
-    factory: Callable[[], Workload]
-    name: str = "custom"
-
-    def produce(self) -> Workload:
-        return self.factory()
 
 
 class WorkloadConsumer:

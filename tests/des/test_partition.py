@@ -48,6 +48,9 @@ class Relay(LogicalProcess):
     def state_digest(self):
         return (self.lp_id, self.events_handled, tuple(self.log))
 
+    def collect_result(self):
+        return {"hops": len(self.log), "last": self.log[-1] if self.log else None}
+
 
 def build_relay_kernel(n_lps=12, tokens=6, ttl=15, lookahead=0.5):
     k = RossKernel(lookahead=lookahead)
@@ -62,6 +65,17 @@ def sequential_reference(**kwargs):
     k = build_relay_kernel(**kwargs)
     SequentialExecutor(k).run()
     return k.state_digests()
+
+
+def make_executor(backend, plan, factory=build_relay_kernel, args=()):
+    """A partitioned executor on ``backend``; process workers rebuild the
+    kernel from ``factory``, the in-process backends run one built here."""
+    if backend == "process":
+        return PartitionedExecutor(
+            plan=plan, backend=backend, kernel_factory=factory,
+            factory_args=args,
+        )
+    return PartitionedExecutor(factory(*args), plan, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +187,26 @@ def test_partitioned_window_stats_match_conservative():
     assert 0.0 <= stats.exchange_fraction <= 1.0
 
 
-def test_partitioned_until_truncates_like_sequential():
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_partitioned_until_truncates_like_sequential(backend):
     k0 = build_relay_kernel()
     SequentialExecutor(k0).run(until=5.0)
     ref = k0.state_digests()
-    k1 = build_relay_kernel()
-    ex = PartitionedExecutor(k1, PartitionPlan.round_robin(range(12), 4))
+    ex = make_executor(backend, PartitionPlan.round_robin(range(12), 4))
     ex.run(until=5.0)
     assert ex.state_digests() == ref
+
+
+def test_collect_identical_across_backends():
+    plan = PartitionPlan.contiguous(range(12), 3)
+    collected = {}
+    for backend in ("serial", "thread", "process"):
+        ex = make_executor(backend, plan)
+        ex.run()
+        collected[backend] = ex.collect()
+    assert sorted(collected["serial"]) == list(range(12))
+    assert collected["thread"] == collected["serial"]
+    assert collected["process"] == collected["serial"]
 
 
 def test_requires_positive_lookahead():
@@ -250,10 +276,11 @@ def test_conservative_degenerate_window_raises():
         ConservativeExecutor(k).run()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_partitioned_degenerate_window_raises(backend):
-    k = _late_clock_kernel()
-    ex = PartitionedExecutor(k, PartitionPlan.round_robin([0], 1), backend=backend)
+    ex = make_executor(
+        backend, PartitionPlan.round_robin([0], 1), factory=_late_clock_kernel
+    )
     with pytest.raises(SimulationError, match="degenerate conservative window"):
         ex.run()
 
