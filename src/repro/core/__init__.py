@@ -5,13 +5,13 @@
   implement it and the surveyed articles that populate it.
 * :mod:`repro.core.cycle` -- the executable closed loop: measure ->
   model/generate -> simulate -> compare, iterated (Fig. 4's dashed
-  feedback arrows).
+  feedback arrows).  Not re-exported here: it imports the whole simulator,
+  which the records and the taxonomy (and so :mod:`repro.store`) do not need.
 * :mod:`repro.core.experiment` -- experiment records used by the
   benchmark harness to report paper-claim vs. measured outcomes.
 """
 
 from repro.core.taxonomy import TAXONOMY, TaxonomyNode, find_node, render_tree
-from repro.core.cycle import CycleReport, EvaluationCycle
 from repro.core.experiment import (
     ExperimentRecord,
     ResultsCollector,
@@ -20,8 +20,6 @@ from repro.core.experiment import (
 )
 
 __all__ = [
-    "CycleReport",
-    "EvaluationCycle",
     "ExperimentRecord",
     "ResultsCollector",
     "record_from_dict",

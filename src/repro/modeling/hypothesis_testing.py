@@ -4,6 +4,10 @@ Sec. IV-B-1 lists hypothesis testing among the statistics techniques.  The
 two tests I/O studies actually use are wrapped with a uniform result type:
 Welch's t-test ("is configuration A faster than B?") and the two-sample
 Kolmogorov-Smirnov test ("do these latency distributions differ?").
+
+``scipy.stats`` is imported inside each test function, not at module top:
+it costs more start-up time than the rest of :mod:`repro` together, and no
+experiment, scenario or service path computes a test statistic.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,8 @@ def t_test(
     """
     arr_a = _check(a, "sample a")
     arr_b = _check(b, "sample b")
+    from scipy import stats as sps
+
     stat, p = sps.ttest_ind(arr_a, arr_b, equal_var=False)
     return TestResult(test="welch-t", statistic=float(stat), p_value=float(p), alpha=alpha)
 
@@ -66,5 +71,7 @@ def ks_test(
     """
     arr_a = _check(a, "sample a")
     arr_b = _check(b, "sample b")
+    from scipy import stats as sps
+
     stat, p = sps.ks_2samp(arr_a, arr_b)
     return TestResult(test="ks-2samp", statistic=float(stat), p_value=float(p), alpha=alpha)

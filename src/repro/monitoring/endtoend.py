@@ -15,7 +15,7 @@ job's time window -- the UMAMI "metrics panel".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from repro.monitoring.fsmonitor import FSMonitor
 from repro.monitoring.profiler import DarshanProfiler, JobProfile
 from repro.monitoring.scheduler_log import JobRecord, SchedulerLog
 from repro.monitoring.server_stats import ServerStatsCollector
-from repro.pfs.filesystem import ParallelFileSystem
+
+if TYPE_CHECKING:
+    from repro.pfs.filesystem import ParallelFileSystem
 
 
 @dataclass

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.ops import OpKind
-from repro.pfs.filesystem import ParallelFileSystem
+
+if TYPE_CHECKING:
+    from repro.pfs.filesystem import ParallelFileSystem
 
 #: Metadata op kinds that mutate the namespace (reported as events).
 MUTATING = {

@@ -12,11 +12,12 @@ for the end-to-end correlation of :mod:`repro.monitoring.endtoend`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.pfs.filesystem import ParallelFileSystem
+if TYPE_CHECKING:
+    from repro.pfs.filesystem import ParallelFileSystem
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ warm cache serves every task without recomputing anything.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +152,27 @@ def test_source_digest_tracks_source(tmp_path, monkeypatch):
     d1 = source_digest()
     assert d1 == source_digest()  # stable within one tree
     assert len(d1) == 64
+
+
+def test_first_task_freezes_start_up_heap_once(tmp_path):
+    """A fresh process's first task takes the start-up heap out of the
+    cycle collector; later tasks freeze nothing more."""
+    code = (
+        "import gc\n"
+        "from repro.experiments.runner import run_experiments\n"
+        "kw = dict(use_cache=False, manifest=False, cache_dir=%r)\n"
+        "before = gc.get_freeze_count()\n"
+        "run_experiments(['E3'], **kw)\n"
+        "first = gc.get_freeze_count()\n"
+        "keep = [[] for _ in range(1000)]\n"
+        "run_experiments(['E3'], **kw)\n"
+        "print(before, first, gc.get_freeze_count())\n" % str(tmp_path)
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    before, first, second = map(int, proc.stdout.split())
+    assert before == 0 and first > 0
+    assert second <= first
